@@ -70,8 +70,24 @@ def entry_digest(key: dict) -> str:
     return hashlib.sha256(canonical(key).encode()).hexdigest()[:24]
 
 
-#: Backwards-compatible private alias (pre-serve callers).
-_digest = entry_digest
+def write_entry(path: Path, payload: dict) -> None:
+    """Write one entry file atomically (temp file + ``os.replace``).
+
+    Readers never see a torn entry: the payload lands in a temp file
+    beside ``path`` and is renamed into place.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 class TuningStore:
@@ -128,24 +144,12 @@ class TuningStore:
             meta: Optional[dict] = None) -> Path:
         """Persist ``choice`` under ``key`` (atomic replace)."""
         path = self._path(key)
-        payload = {
+        write_entry(path, {
             "schema": SCHEMA,
             "key": key,
             "plan": choice.as_dict(),
             "meta": meta or {},
-        }
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        })
         return path
 
     def entries(self) -> list[dict]:

@@ -18,7 +18,6 @@ from repro.bench.pair import PairBenchResult, IterationRecord, run_partitioned_p
 from repro.bench.overhead import OverheadResult, run_overhead, overhead_speedup_series
 from repro.bench.perceived import PerceivedResult, run_perceived_bandwidth
 from repro.bench.sweep import SweepResult, run_sweep
-from repro.bench.halo import HaloResult, run_halo
 from repro.bench.coll import PcollResult, run_pallreduce
 from repro.bench.reporting import format_table, format_speedup_series
 
@@ -33,8 +32,6 @@ __all__ = [
     "run_perceived_bandwidth",
     "SweepResult",
     "run_sweep",
-    "HaloResult",
-    "run_halo",
     "PcollResult",
     "run_pallreduce",
     "format_table",

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.bench.pair import PairBenchResult, run_partitioned_pair
 from repro.config import ClusterConfig, NIAGARA
-from repro.core.module import NativeSpec
 from repro.runtime import SingleThreadDelay
 
 from repro.autotune import AdaptiveAggregator, TuningStore, build_autotuner
@@ -98,7 +97,7 @@ def run_autotuned_pair(
         autotune_params, store=store)
     noise = SingleThreadDelay(noise_fraction) if noise_fraction > 0 else None
     result = run_partitioned_pair(
-        lambda: NativeSpec(agg),
+        agg,
         n_user=n_user,
         partition_size=partition_size,
         compute=compute,

@@ -9,14 +9,13 @@ baseline at the same workload, exactly as the paper's figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.bench.pair import PairBenchResult, run_partitioned_pair
 from repro.config import ClusterConfig, NIAGARA
-from repro.core.aggregators import Aggregator
-from repro.core.module import NativeSpec
-from repro.mpi.modules import ModuleSpec
-from repro.mpi.persist_module import PersistSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.plan import ModuleChoice
 
 
 @dataclass
@@ -33,19 +32,8 @@ class OverheadResult:
         return self.total_bytes // self.n_user
 
 
-def _spec_factory(module: Union[Aggregator, ModuleSpec, Callable[[], ModuleSpec], None]):
-    """Accept an aggregator, a spec, a factory, or None (baseline)."""
-    if module is None:
-        return PersistSpec
-    if isinstance(module, Aggregator):
-        return lambda: NativeSpec(module)
-    if isinstance(module, ModuleSpec):
-        return lambda: module
-    return module
-
-
 def run_overhead(
-    module: Union[Aggregator, ModuleSpec, Callable[[], ModuleSpec], None],
+    module: ModuleChoice,
     n_user: int,
     total_bytes: int,
     iterations: int = 100,
@@ -62,7 +50,7 @@ def run_overhead(
     if partition_size < 1:
         raise ValueError("partition size below one byte")
     result = run_partitioned_pair(
-        _spec_factory(module),
+        module,
         n_user=n_user,
         partition_size=partition_size,
         compute=0.0,
@@ -80,7 +68,7 @@ def run_overhead(
 
 
 def overhead_speedup_series(
-    module: Union[Aggregator, ModuleSpec, Callable[[], ModuleSpec]],
+    module: ModuleChoice,
     n_user: int,
     sizes: Sequence[int],
     iterations: int = 100,

@@ -15,16 +15,18 @@ public micro-benchmarks of [14] the paper modified:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.config import ClusterConfig, NIAGARA
 from repro.mem.buffer import PartitionedBuffer
 from repro.mpi.cluster import Cluster
-from repro.mpi.modules import ModuleSpec
 from repro.runtime import ComputePhase, NoNoise, NoiseModel, WorkerTeam
 from repro.sim.sync import SimBarrier
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.plan import ModuleChoice
 
 
 @dataclass
@@ -93,7 +95,7 @@ class PairBenchResult:
 
 
 def run_partitioned_pair(
-    spec_factory: Callable[[], ModuleSpec],
+    module: ModuleChoice,
     n_user: int,
     partition_size: int,
     compute: float = 0.0,
@@ -107,11 +109,15 @@ def run_partitioned_pair(
 ) -> PairBenchResult:
     """Run one (module, workload) configuration end to end.
 
-    ``spec_factory`` is called once per side so each gets its own spec
-    object.  With ``backed=True`` real bytes move and are verified.
+    ``module`` (any choice :func:`repro.plan.resolve` accepts) is
+    resolved once per side, so a baseline, aggregator or factory gives
+    each side its own spec object.  With ``backed=True`` real bytes
+    move and are verified.
     ``fault_schedule`` (a :class:`repro.faults.FaultSchedule`) arms
     deterministic fault injection on the pair's fabric.
     """
+    from repro.plan import resolve
+
     config = config if config is not None else NIAGARA
     if seed is not None:
         config = config.with_changes(seed=seed)
@@ -139,7 +145,7 @@ def run_partitioned_pair(
     records = [IterationRecord() for _ in range(total_rounds)]
 
     def sender(proc):
-        req = proc.psend_init(sbuf, dest=1, tag=0, module=spec_factory())
+        req = proc.psend_init(sbuf, dest=1, tag=0, module=resolve(module))
         team = WorkerTeam(proc.env, n_user,
                           cluster.rngs.stream("noise.sender"), cores=cores)
         for it in range(total_rounds):
@@ -156,7 +162,7 @@ def run_partitioned_pair(
             result.timer_flushes = req.module.timer_flushes
 
     def receiver(proc):
-        req = proc.precv_init(rbuf, source=0, tag=0, module=spec_factory())
+        req = proc.precv_init(rbuf, source=0, tag=0, module=resolve(module))
         for it in range(total_rounds):
             yield barrier.wait()
             yield from proc.start(req)

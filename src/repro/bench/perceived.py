@@ -16,14 +16,14 @@ the dotted line in Fig. 9, available here as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
-from repro.bench.overhead import _spec_factory
 from repro.bench.pair import PairBenchResult, run_partitioned_pair
 from repro.config import ClusterConfig, NIAGARA
-from repro.core.aggregators import Aggregator
-from repro.mpi.modules import ModuleSpec
 from repro.runtime import SingleThreadDelay
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.plan import ModuleChoice
 
 
 @dataclass
@@ -46,7 +46,7 @@ def single_thread_line(config: Optional[ClusterConfig] = None) -> float:
 
 
 def run_perceived_bandwidth(
-    module: Union[Aggregator, ModuleSpec, Callable[[], ModuleSpec], None],
+    module: ModuleChoice,
     n_user: int,
     total_bytes: int,
     compute: float = 100e-3,
@@ -70,7 +70,7 @@ def run_perceived_bandwidth(
         raise ValueError(
             f"total {total_bytes}B not divisible by {n_user} partitions")
     result = run_partitioned_pair(
-        _spec_factory(module),
+        module,
         n_user=n_user,
         partition_size=partition_size,
         compute=compute,

@@ -14,18 +14,19 @@ wavefront's critical-path compute — and its speedup over the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.bench.overhead import _spec_factory
 from repro.config import ClusterConfig, NIAGARA
-from repro.core.aggregators import Aggregator
 from repro.mem.buffer import PartitionedBuffer
 from repro.mpi.cluster import Cluster
-from repro.mpi.modules import ModuleSpec
 from repro.runtime import ComputePhase, SingleThreadDelay, WorkerTeam
 from repro.sim.sync import SimBarrier
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.plan import ModuleChoice
+
 
 _TAG_RIGHT = 0
 _TAG_DOWN = 1
@@ -60,7 +61,7 @@ class SweepResult:
 
 
 def run_sweep(
-    module: Union[Aggregator, ModuleSpec, Callable[[], ModuleSpec], None],
+    module: ModuleChoice,
     grid: tuple[int, int] = (8, 8),
     n_threads: int = 16,
     total_bytes: int = 1 << 20,
@@ -71,6 +72,8 @@ def run_sweep(
     config: Optional[ClusterConfig] = None,
 ) -> SweepResult:
     """Run the sweep pattern (None module = part_persist baseline)."""
+    from repro.plan import resolve
+
     config = config if config is not None else NIAGARA
     px, py = grid
     if px < 1 or py < 1:
@@ -79,7 +82,6 @@ def run_sweep(
     if partition_size * n_threads != total_bytes:
         raise ValueError(
             f"total {total_bytes}B not divisible by {n_threads} threads")
-    spec_factory = _spec_factory(module)
     n_ranks = px * py
     cluster = Cluster(n_nodes=n_ranks, config=config)
     procs = cluster.ranks(n_ranks)
@@ -104,25 +106,25 @@ def run_sweep(
             bufs.append(buf)
             sends["right"] = proc.psend_init(
                 buf, dest=rank_id(i, j + 1), tag=_TAG_RIGHT,
-                module=spec_factory())
+                module=resolve(module))
         if i + 1 < px:
             buf = PartitionedBuffer(n_threads, partition_size, backed=False)
             bufs.append(buf)
             sends["down"] = proc.psend_init(
                 buf, dest=rank_id(i + 1, j), tag=_TAG_DOWN,
-                module=spec_factory())
+                module=resolve(module))
         if j - 1 >= 0:
             buf = PartitionedBuffer(n_threads, partition_size, backed=False)
             bufs.append(buf)
             recvs["left"] = proc.precv_init(
                 buf, source=rank_id(i, j - 1), tag=_TAG_RIGHT,
-                module=spec_factory())
+                module=resolve(module))
         if i - 1 >= 0:
             buf = PartitionedBuffer(n_threads, partition_size, backed=False)
             bufs.append(buf)
             recvs["up"] = proc.precv_init(
                 buf, source=rank_id(i - 1, j), tag=_TAG_DOWN,
-                module=spec_factory())
+                module=resolve(module))
         team = WorkerTeam(proc.env, n_threads,
                           cluster.rngs.stream(f"noise.rank{rid}"), cores=cores)
         send_reqs = list(sends.values())

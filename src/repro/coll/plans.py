@@ -6,21 +6,19 @@ normalizes the ``module_for`` argument the collective inits accept —
 anything from "one baseline everywhere" to "a fresh closed-loop
 autotuner per neighbor" — into one canonical shape::
 
-    resolve(neighbor_rank) -> ModuleSpec        # fresh per edge
+    edge_spec(neighbor_rank) -> ModuleSpec      # fresh per edge
 
 Accepted inputs:
 
-* ``None`` — the ``part_persist`` baseline on every edge;
-* a :class:`repro.plan.Plan` — lowered through
-  :func:`repro.plan.lower`; a plan with top-level ``edge`` ops
-  resolves per neighbor (non-edge ops are the default body);
-* an :class:`~repro.core.aggregators.Aggregator` — the native module
-  with that (shared) aggregator on every edge; static aggregators are
-  stateless so sharing is safe, and each matched pair still computes
-  its own plan at its own message size;
-* a :class:`~repro.mpi.modules.ModuleSpec` or zero-argument spec
-  factory — reused/invoked for every edge;
-* a one-argument callable ``f(neighbor)`` returning any of the above
+* any module choice :func:`repro.plan.resolve` accepts — ``None``
+  (the ``part_persist`` baseline), a plan, an aggregator, a spec or a
+  zero-argument factory — resolved anew for every edge.  An
+  aggregator is therefore shared by every edge's ``NativeSpec``;
+  static aggregators are stateless so sharing is safe, and each
+  matched pair still computes its own plan at its own message size;
+* a :class:`repro.plan.Plan` with top-level ``edge`` ops — lowered
+  per neighbor (non-edge ops are the default body);
+* a one-argument callable ``f(neighbor)`` returning any module choice
   — full per-edge control (:func:`per_edge_autotuners` builds the
   common case: one independent autotune controller per neighbor).
 
@@ -40,30 +38,10 @@ from repro.core.aggregators import Aggregator
 from repro.mpi.modules import ModuleSpec
 from repro.plan import Edge, Fallback, Native, Plan
 from repro.plan import lower as lower_plan
-from repro.plan import lower_edges
+from repro.plan import lower_edges, resolve
 
 #: Canonical resolver: neighbor rank -> module spec for that edge.
 EdgeModules = Callable[[int], ModuleSpec]
-
-
-def _spec_for(module) -> ModuleSpec:
-    """One concrete ModuleSpec from a plan/aggregator/spec/factory/None."""
-    if module is None:
-        from repro.mpi.persist_module import PersistSpec
-
-        return PersistSpec()
-    if isinstance(module, Plan):
-        return lower_plan(module)
-    if isinstance(module, Aggregator):
-        from repro.core.module import NativeSpec
-
-        return NativeSpec(module)
-    if isinstance(module, ModuleSpec):
-        return module
-    if callable(module):
-        return _spec_for(module())
-    raise TypeError(
-        f"cannot resolve {module!r} into a partitioned transport module")
 
 
 def _takes_neighbor(fn) -> bool:
@@ -85,35 +63,27 @@ def edge_modules(module_for) -> EdgeModules:
     if (callable(module_for) and not isinstance(module_for, Aggregator)
             and not isinstance(module_for, (ModuleSpec, Plan))
             and _takes_neighbor(module_for)):
-        return lambda neighbor: _spec_for(module_for(neighbor))
-    return lambda neighbor: _spec_for(module_for)
+        return lambda neighbor: resolve(module_for(neighbor))
+    return lambda neighbor: resolve(module_for)
 
 
-def ladder_modules(module_for=None, rungs=None) -> EdgeModules:
+def ladder_modules(module_for=None) -> EdgeModules:
     """Wrap every edge's transport in a graceful-degradation ladder.
 
     ``module_for`` (any shape :func:`edge_modules` accepts) names the
     preferred rung, substituted into the ``native()`` slot of
     :func:`repro.plan.default_ladder_plan` — so a tripped edge
     degrades native → persist → channels, and a rung that would
-    duplicate an earlier one (a persist top) is folded away.  Pass
-    ``rungs`` (a per-neighbor callable or a list of specs/plans) to
-    override the full chain instead.
+    duplicate an earlier one (a persist top) is folded away.
     """
     from repro.mpi.ladder import LadderSpec
     from repro.plan import default_ladder_plan
 
-    if rungs is not None:
-        if callable(rungs):
-            return lambda neighbor: LadderSpec(
-                [_spec_for(r) for r in rungs(neighbor)])
-        specs = [_spec_for(r) for r in rungs]
-        return lambda neighbor: LadderSpec(specs)
-    resolve = edge_modules(module_for)
+    top_for = edge_modules(module_for)
     ladder = default_ladder_plan()
 
     def build(neighbor: int) -> ModuleSpec:
-        top = resolve(neighbor)
+        top = top_for(neighbor)
         chain, names = [], set()
         for rung in ladder.first(Fallback).rungs:
             spec = top if rung.first(Native) is not None \

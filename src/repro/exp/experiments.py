@@ -707,18 +707,20 @@ HALO_TOPOLOGY = ["dragonfly+", {"nodes_per_leaf": 16,
 def ext_halo_spec(grid_shape=HALO_GRID, sizes=HALO_SIZES, iterations=10,
                   warmup=3, topology: Optional[Sequence] = None,
                   n_threads=HALO_N_THREADS) -> ExperimentSpec:
+    """2-D four-neighbour halo speedups over ``part_persist``.
+
+    Each point is a ``stencil`` scenario (:func:`repro.coll.run_stencil`
+    on a 2-D grid) with one partition per thread on every face, 1 ms
+    compute and 1 % single-thread noise.
+    """
     sizes = list(sizes)
     designs = (("ploggp", PLOGGP),
                ("timer", ["timer", {"delay": ms(4), "delta": us(8)}]))
+    it = {"iterations": iterations, "warmup": warmup}
 
     def halo_point(module, size):
-        params = dict(module=module, grid=list(grid_shape),
-                      n_threads=n_threads, face_bytes=size, compute=ms(1),
-                      noise_fraction=0.01, iterations=iterations,
-                      warmup=warmup)
-        if topology is not None:
-            params["topology"] = list(topology)
-        return Scenario.make("halo", **params)
+        return _stencil_point(grid_shape, n_threads, size, it, module=module,
+                              topology=topology, n_partitions=n_threads)
 
     base = {s: halo_point(PERSIST, s) for s in sizes}
     ours = {(name, s): halo_point(desc, s)

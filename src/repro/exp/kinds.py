@@ -94,19 +94,6 @@ def _sweep(p: dict) -> dict:
     }
 
 
-@kind("halo")
-def _halo(p: dict) -> dict:
-    from repro.bench.halo import run_halo
-
-    res = run_halo(
-        build_module(p["module"]), grid=tuple(p["grid"]),
-        n_threads=p["n_threads"], face_bytes=p["face_bytes"],
-        compute=p["compute"], noise_fraction=p["noise_fraction"],
-        iterations=p["iterations"], warmup=p["warmup"],
-        topology=build_topology(p.get("topology")), config=_config(p))
-    return {"mean_time": res.mean_time, "mean_comm_time": res.mean_comm_time}
-
-
 @kind("stencil")
 def _stencil(p: dict) -> dict:
     from repro.coll import per_edge_autotuners, run_stencil
@@ -176,13 +163,12 @@ def _arrival_profile(p: dict) -> dict:
 
 @kind("min_delta")
 def _min_delta(p: dict) -> dict:
-    from repro.bench.overhead import _spec_factory
     from repro.bench.pair import run_partitioned_pair
     from repro.core import estimate_min_delta
     from repro.runtime import SingleThreadDelay
 
     result = run_partitioned_pair(
-        _spec_factory(build_module(p["module"])), n_user=p["n_user"],
+        build_module(p["module"]), n_user=p["n_user"],
         partition_size=p["total_bytes"] // p["n_user"],
         compute=p["compute"], noise=SingleThreadDelay(p["noise_fraction"]),
         iterations=p["iterations"], warmup=p["warmup"], config=_config(p))

@@ -98,9 +98,6 @@ def experiment_plans(name: str,
         elif kind == "sweep":
             module, n, total = p.get("module"), p["n_threads"], \
                 p["total_bytes"]
-        elif kind == "halo":
-            module, n, total = p.get("module"), p["n_threads"], \
-                p["face_bytes"]
         elif kind == "pallreduce":
             module = p.get("module")
             n = p.get("n_partitions") or p["n_threads"]

@@ -35,22 +35,6 @@ from repro.sim.sync import SimBarrier
 TAG_STRIDE = 100_000
 
 
-def _spec_factory(module):
-    """Module instance -> per-request ModuleSpec factory (None = persist)."""
-    from repro.core.aggregators import Aggregator
-    from repro.core.module import NativeSpec
-    from repro.mpi.modules import ModuleSpec
-    from repro.mpi.persist_module import PersistSpec
-
-    if module is None:
-        return PersistSpec
-    if isinstance(module, Aggregator):
-        return lambda: NativeSpec(module)
-    if isinstance(module, ModuleSpec):
-        return lambda: module
-    return module
-
-
 def _binomial_children(rank: int, world: int) -> list[int]:
     """Children of ``rank`` in the binomial fan-in tree rooted at 0."""
     children = []
@@ -135,7 +119,9 @@ class TenantScheduler:
         if len(procs) != 2:
             raise ConfigError(f"pair job {job.name} needs exactly 2 ranks")
         env = self.cluster.env
-        factory = _spec_factory(self._modules[job.name])
+        from repro.plan import resolve
+
+        module = self._modules[job.name]
         barrier = SimBarrier(env, parties=2)
         total = job.warmup + job.iterations
         start = np.zeros(total)
@@ -150,7 +136,7 @@ class TenantScheduler:
 
         def sender(proc, peer_rank):
             req = proc.psend_init(sbuf, dest=peer_rank, tag=tag_base,
-                                  module=factory())
+                                  module=resolve(module))
             team = self._team_for(job, 0)
             for it in range(total):
                 yield barrier.wait()
@@ -164,7 +150,7 @@ class TenantScheduler:
 
         def receiver(proc, peer_rank):
             req = proc.precv_init(rbuf, source=peer_rank, tag=tag_base,
-                                  module=factory())
+                                  module=resolve(module))
             for it in range(total):
                 yield barrier.wait()
                 yield from proc.start(req)
@@ -181,7 +167,9 @@ class TenantScheduler:
         procs = self.procs[job.name]
         world = len(procs)
         env = self.cluster.env
-        factory = _spec_factory(self._modules[job.name])
+        from repro.plan import resolve
+
+        module = self._modules[job.name]
         barrier = SimBarrier(env, parties=world)
         total = job.warmup + job.iterations
         start = np.zeros(total)
@@ -197,13 +185,13 @@ class TenantScheduler:
                 job.n_partitions, job.partition_size, backed=False)
             # Tags: +0 clockwise (to right), +1 counter-clockwise.
             send_r = proc.psend_init(mk(), dest=procs[right].rank,
-                                     tag=tag_base, module=factory())
+                                     tag=tag_base, module=resolve(module))
             send_l = proc.psend_init(mk(), dest=procs[left].rank,
-                                     tag=tag_base + 1, module=factory())
+                                     tag=tag_base + 1, module=resolve(module))
             recv_l = proc.precv_init(mk(), source=procs[left].rank,
-                                     tag=tag_base, module=factory())
+                                     tag=tag_base, module=resolve(module))
             recv_r = proc.precv_init(mk(), source=procs[right].rank,
-                                     tag=tag_base + 1, module=factory())
+                                     tag=tag_base + 1, module=resolve(module))
             team = self._team_for(job, r)
 
             def body(tid):
@@ -232,7 +220,9 @@ class TenantScheduler:
         procs = self.procs[job.name]
         world = len(procs)
         env = self.cluster.env
-        factory = _spec_factory(self._modules[job.name])
+        from repro.plan import resolve
+
+        module = self._modules[job.name]
         barrier = SimBarrier(env, parties=world)
         total = job.warmup + job.iterations
         start = np.zeros(total)
@@ -248,9 +238,9 @@ class TenantScheduler:
             up = None
             if r > 0:
                 up = proc.psend_init(mk(), dest=procs[_binomial_parent(r)].rank,
-                                     tag=tag_base + r, module=factory())
+                                     tag=tag_base + r, module=resolve(module))
             down = [proc.precv_init(mk(), source=procs[c].rank,
-                                    tag=tag_base + c, module=factory())
+                                    tag=tag_base + c, module=resolve(module))
                     for c in _binomial_children(r, world)]
             team = self._team_for(job, r)
             for it in range(total):

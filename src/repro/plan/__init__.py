@@ -3,12 +3,13 @@
 See ``docs/PLAN_IR.md`` for the op reference, the pass pipeline, and
 the add-a-pass walkthrough.  Quick tour::
 
-    from repro.plan import leaf_plan, lower, parse
+    from repro.plan import leaf_plan, lower, parse, resolve
 
     p = leaf_plan(8, 2, delta=35e-6)
     print(p)                  # canonical text; p.digest is its identity
     q = parse(p.text)         # round-trips: q == p, q.digest == p.digest
     spec = lower(p, config)   # NativeSpec(FixedAggregation(8, 2, δ))
+    spec = resolve(None)      # any module choice -> ModuleSpec (here persist)
 """
 
 from repro.plan.build import (
@@ -38,7 +39,7 @@ from repro.plan.ir import (
     Tree,
     plan,
 )
-from repro.plan.lower import lower, lower_edges
+from repro.plan.lower import ModuleChoice, lower, lower_edges, resolve
 from repro.plan.mutate import neighbors
 from repro.plan.parse import parse
 from repro.plan.passes import (
@@ -70,6 +71,6 @@ __all__ = [
     "Legalize", "MaterializeSends", "SplitOversizedWRs",
     "FuseAdjacentSends", "HoistCommonSubtrees",
     "lowering_pipeline", "analysis_pipeline", "MAX_WR_BYTES",
-    # lower / mutate
-    "lower", "lower_edges", "neighbors",
+    # lower / resolve / mutate
+    "lower", "lower_edges", "resolve", "ModuleChoice", "neighbors",
 ]

@@ -26,11 +26,15 @@ tree shape, sends are the analysis form) and lower to nothing here.
 Imports of the module-spec classes are deferred into the functions:
 ``repro.plan`` must stay importable from every layer without pulling
 the transport stack (and its import cycles) in at module scope.
+
+:func:`resolve` sits beside ``lower()`` as the one place a module
+choice — ``None``, a plan, an aggregator, a spec or a zero-argument
+factory — becomes a ``ModuleSpec``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.config import ClusterConfig
 from repro.plan.ir import (
@@ -47,7 +51,12 @@ from repro.plan.ir import (
 from repro.plan.passes import PassContext, lowering_pipeline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.aggregators import Aggregator
     from repro.mpi.modules import ModuleSpec
+
+#: Every form :func:`resolve` accepts as a module choice.
+ModuleChoice = Union["Aggregator", "ModuleSpec", Plan,
+                     Callable[[], "ModuleChoice"], None]
 
 
 def lower(plan: Plan, config: Optional[ClusterConfig] = None,
@@ -57,6 +66,36 @@ def lower(plan: Plan, config: Optional[ClusterConfig] = None,
     ctx = PassContext(config=config, n_user=n_user,
                       partition_size=partition_size)
     return _emit(lowering_pipeline().run(plan, ctx))
+
+
+def resolve(module: ModuleChoice) -> "ModuleSpec":
+    """The one conversion from a module choice to a ``ModuleSpec``.
+
+    ``None`` is the ``part_persist`` baseline; a :class:`Plan` goes
+    through :func:`lower`; an aggregator gets a fresh ``NativeSpec``
+    around it; a spec is returned as is; a zero-argument factory is
+    called and its result resolved.  Call it once per request: the
+    baseline and native choices yield a new spec object per call.
+    """
+    if module is None:
+        from repro.mpi.persist_module import PersistSpec
+
+        return PersistSpec()
+    if isinstance(module, Plan):
+        return lower(module)
+    from repro.core.aggregators import Aggregator
+    from repro.mpi.modules import ModuleSpec
+
+    if isinstance(module, Aggregator):
+        from repro.core.module import NativeSpec
+
+        return NativeSpec(module)
+    if isinstance(module, ModuleSpec):
+        return module
+    if callable(module):
+        return resolve(module())
+    raise TypeError(
+        f"cannot resolve {module!r} into a partitioned transport module")
 
 
 def _emit(plan: Plan) -> "ModuleSpec":

@@ -37,7 +37,8 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from repro.autotune.policy import PlanChoice
-from repro.autotune.store import SCHEMA, entry_digest
+from repro.autotune.store import (
+    SCHEMA, TuningStore, entry_digest, write_entry)
 from repro.errors import ConfigError, ReproError
 
 try:  # POSIX advisory locks; the CI and dev containers are Linux.
@@ -178,23 +179,10 @@ class ShardedStore:
 
     # -- reads ----------------------------------------------------------
 
-    def _load(self, path: Path) -> Optional[dict]:
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.corrupt_entries += 1
-            return None
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            self.corrupt_entries += 1
-            return None
-        if payload.get("schema") != SCHEMA:
-            self.corrupt_entries += 1
-            return None
-        return payload
+    #: Entry parse and schema check, shared with the flat store: a
+    #: corrupt or alien-schema file counts on this handle's
+    #: ``corrupt_entries`` and reads as a miss.
+    _load = TuningStore._load
 
     def _entry(self, payload: dict) -> Optional[ServedEntry]:
         try:
@@ -220,28 +208,6 @@ class ShardedStore:
         return entry.choice if entry is not None else None
 
     # -- writes ---------------------------------------------------------
-
-    def _write(self, path: Path, key: dict, choice: PlanChoice,
-               meta: dict, version: int) -> None:
-        payload = {
-            "schema": SCHEMA,
-            "key": key,
-            "plan": choice.as_dict(),
-            "meta": meta,
-            "version": version,
-        }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def commit(self, key: dict, choice: PlanChoice,
                meta: Optional[dict] = None,
@@ -273,7 +239,9 @@ class ShardedStore:
             entry = ServedEntry(key=key, choice=choice,
                                 version=current_version + 1,
                                 meta=dict(meta or {}))
-            self._write(path, key, choice, entry.meta, entry.version)
+            write_entry(path, {"schema": SCHEMA, "key": key,
+                               "plan": choice.as_dict(), "meta": entry.meta,
+                               "version": entry.version})
             self.commits += 1
             return CommitResult(entry=entry, committed=True)
 

@@ -1,50 +1,12 @@
-"""Tests for per-edge transport-plan resolution."""
+"""Tests for per-edge transport-plan resolution.
 
-import pytest
+The single-choice forms (None, plan, aggregator, spec, factory) are
+:func:`repro.plan.resolve`'s, tested in ``tests/test_plan``.
+"""
 
 from repro.coll import edge_modules, per_edge_autotuners
-from repro.core import PLogGPAggregator
 from repro.core.module import NativeSpec
-from repro.model.tables import NIAGARA_LOGGP
 from repro.mpi.persist_module import PersistSpec
-from repro.units import ms
-
-
-def test_none_resolves_to_persist_everywhere():
-    resolve = edge_modules(None)
-    assert isinstance(resolve(0), PersistSpec)
-    assert isinstance(resolve(7), PersistSpec)
-
-
-def test_aggregator_resolves_to_shared_native_spec():
-    agg = PLogGPAggregator(NIAGARA_LOGGP, delay=ms(4))
-    resolve = edge_modules(agg)
-    spec = resolve(3)
-    assert isinstance(spec, NativeSpec)
-    assert spec.aggregator is agg
-    # Static aggregators are stateless: sharing across edges is fine.
-    assert resolve(5).aggregator is agg
-
-
-def test_module_spec_instance_is_reused():
-    spec = PersistSpec()
-    resolve = edge_modules(spec)
-    assert resolve(1) is spec
-    assert resolve(2) is spec
-
-
-def test_zero_arg_factory_invoked_per_edge():
-    made = []
-
-    def factory():
-        spec = PersistSpec()
-        made.append(spec)
-        return spec
-
-    resolve = edge_modules(factory)
-    a, b = resolve(1), resolve(2)
-    assert a is not b
-    assert made == [a, b]
 
 
 def test_per_neighbor_callable_gets_the_neighbor():
@@ -58,12 +20,6 @@ def test_per_neighbor_callable_gets_the_neighbor():
     assert isinstance(resolve(4), PersistSpec)
     assert isinstance(resolve(9), PersistSpec)
     assert seen == [4, 9]
-
-
-def test_garbage_module_raises():
-    resolve = edge_modules(object())
-    with pytest.raises(TypeError):
-        resolve(0)
 
 
 def test_per_edge_autotuners_are_independent():
