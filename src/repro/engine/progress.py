@@ -17,10 +17,11 @@ virtual-time semantics, thousands of times fewer events.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Iterable
 
-from repro.sim.core import Environment
-from repro.sim.sync import Notify, SimLock
+from repro.sim.core import Environment, Event
+from repro.sim.sync import Notify, Parker, SimLock
 from repro.units import us
 
 #: Default fallback park time while waiting with no kick (guards against
@@ -110,56 +111,204 @@ class ProgressEngine:
         :class:`~repro.errors.EpochDeadlineError` instead of waiting
         forever — the chaos layer's bound on a hung edge.  ``describe``
         names the waited-on work in that error.
+
+        The generator runs only the progress passes it wins.  Once the
+        try-lock misses, the wait is handed to an :class:`_IdleWait`,
+        whose event callbacks run the miss charge, the re-checks and the
+        parks, and which resumes the generator only when the predicate
+        holds, the deadline has passed, or the lock is won.
         """
-        env = self.env
         lock = self.lock
         notify = self._notify
         pollers = self._pollers
         t_poll_miss = self.t_poll_miss
-        while not predicate():
-            if deadline is not None and env._now >= deadline:
-                from repro.errors import EpochDeadlineError
-
-                raise EpochDeadlineError(
-                    f"epoch overran its deadline waiting for {describe or 'completion'}")
-            # One progress pass, inlined from :meth:`progress_once` (this
-            # loop is the single hottest generator in the engine; the
-            # nested-generator hop per iteration is measurable).  The
-            # yielded event sequence must stay identical to the method's.
-            if not lock.try_acquire():
-                yield t_poll_miss
-                handled = 0
-            else:
-                try:
-                    handled = 0
-                    for poller, quick in pollers:
-                        if quick is not None:
-                            settled = quick()
-                            if settled is not None:
-                                handled += settled
-                                continue
-                        handled += yield from poller()
-                    if handled == 0:
-                        yield t_poll_miss
-                    self.passes += 1
-                    self.events_handled += handled
-                finally:
-                    lock.release()
-            if predicate():
-                break
-            if handled == 0:
-                if notify.pending:
-                    # A completion landed since the last park — it may
-                    # not have been polled yet (e.g. it arrived during
-                    # this very pass).  Consume the trigger and re-poll
-                    # rather than parking past real work.
-                    notify.consume()
-                    continue
-                park = self.idle_fallback
-                if deadline is not None:
-                    park = min(park, max(deadline - env._now, 0.0))
-                yield notify.wait(park)
+        waiter = None
+        try:
+            while not predicate():
+                if deadline is not None and self.env._now >= deadline:
+                    raise _overrun(describe)
+                if not lock.try_acquire():
+                    if waiter is None:
+                        waiter = _IdleWait(self, predicate, deadline, describe)
+                    if (yield waiter.after_miss()):
+                        return
+                # The lock is held: pass until a pass finds nothing.
+                while True:
+                    # One progress pass, inlined from :meth:`progress_once`
+                    # (the yielded event sequence must stay identical).
+                    try:
+                        handled = 0
+                        for poller, quick in pollers:
+                            if quick is not None:
+                                settled = quick()
+                                if settled is not None:
+                                    handled += settled
+                                    continue
+                            handled += yield from poller()
+                        if handled == 0:
+                            yield t_poll_miss
+                        self.passes += 1
+                        self.events_handled += handled
+                    finally:
+                        lock.release()
+                    if predicate():
+                        return
+                    if handled:
+                        break
+                    if notify.pending:
+                        # A completion landed since the last park — it may
+                        # not have been polled yet (e.g. it arrived during
+                        # this very pass).  Consume the trigger and re-poll
+                        # rather than parking past real work.
+                        notify.consume()
+                        break
+                    if waiter is None:
+                        waiter = _IdleWait(self, predicate, deadline, describe)
+                    if (yield waiter.after_park()):
+                        return
+        finally:
+            if waiter is not None:
+                waiter.close()
 
     def __repr__(self) -> str:
         return (f"<ProgressEngine pollers={len(self._pollers)} "
                 f"passes={self.passes}>")
+
+
+def _overrun(describe: str) -> Exception:
+    from repro.errors import EpochDeadlineError
+
+    return EpochDeadlineError(
+        f"epoch overran its deadline waiting for {describe or 'completion'}")
+
+
+class _IdleWait(Parker):
+    """The lock-miss loop of one :meth:`ProgressEngine.wait_until` call.
+
+    A waiter that misses the try-lock sleeps ``t_poll_miss``, re-checks
+    its predicate and the kick latch, parks, and on waking re-checks and
+    tries the lock again.  This object runs that loop as event callbacks
+    while the waiter's process sits on :attr:`_handoff`.  It is itself
+    the queued event of each step, at the ``(time, priority, seq)``
+    position the generator's own sleep or park event took, and it
+    resumes the process synchronously from that dispatch: with ``True``
+    when the predicate holds, ``False`` once it holds the lock, or by
+    throwing the deadline (or predicate) error.  See docs/PERF.md §5.
+    """
+
+    __slots__ = ("_predicate", "_deadline", "_describe", "_t_poll_miss",
+                 "_fallback", "_try_acquire", "_handoff", "_miss_cbs",
+                 "_park_cbs", "_closed")
+
+    def __init__(self, engine: ProgressEngine, predicate: Callable[[], bool],
+                 deadline: "float | None", describe: str):
+        super().__init__(engine.env)
+        self._ok = True
+        self._value = None
+        self._notify = engine._notify
+        self._t_poll_miss = engine.t_poll_miss
+        self._fallback = engine.idle_fallback
+        self._predicate = predicate
+        self._deadline = deadline
+        self._describe = describe
+        self._try_acquire = engine.lock.try_acquire
+        #: Never queued: fired by hand to resume the waiting process.
+        self._handoff = Event(engine.env)
+        self._miss_cbs = [self._missed]
+        self._park_cbs = [self._retry]
+        self._closed = False
+
+    # -- entry from the generator: start a step, return what to yield --
+
+    def after_miss(self) -> Event:
+        """Charge a lock miss, then run the loop until a resume."""
+        self._sleep()
+        return self._wait()
+
+    def after_park(self) -> Event:
+        """Park (the pass found nothing), then run the loop."""
+        self._park()
+        return self._wait()
+
+    def close(self) -> None:
+        """The wait is over (or abandoned): drop any hook still set."""
+        self._closed = True
+        self._timer.disarm()
+        latch = self._latch
+        if latch is not None:
+            self._latch = None
+            latch.callbacks.remove(self._on_latch_cb)
+
+    def _wait(self) -> Event:
+        handoff = self._handoff
+        handoff.callbacks = []
+        return handoff
+
+    # -- the loop ---------------------------------------------------------
+
+    def _sleep(self) -> None:
+        env = self.env
+        self.callbacks = self._miss_cbs
+        now = env._now
+        when = now + self._t_poll_miss
+        if when > now:
+            seq = env._seq
+            env._seq = seq + 1
+            heappush(env._heap, (when, 1, seq, self))
+        else:
+            env._cur_normal.append(self)
+
+    def _park(self) -> None:
+        fallback = self._fallback
+        deadline = self._deadline
+        if deadline is not None:
+            fallback = min(fallback, max(deadline - self.env._now, 0.0))
+        self._notify.wait(fallback, self)
+
+    def _wake(self) -> None:
+        self.callbacks = self._park_cbs
+        self.env._cur_normal.append(self)
+
+    def _missed(self, _event: Event) -> None:
+        if self._closed:
+            return
+        try:
+            done = self._predicate()
+        except BaseException as exc:
+            self._resume(exc, False)
+            return
+        if done:
+            self._resume(True)
+            return
+        notify = self._notify
+        if notify.pending:
+            notify.consume()
+            self._retry()
+        else:
+            self._park()
+
+    def _retry(self, _event: "Event | None" = None) -> None:
+        """The top of the wait loop: predicate, deadline, try-lock."""
+        if self._closed:
+            return
+        try:
+            done = self._predicate()
+        except BaseException as exc:
+            self._resume(exc, False)
+            return
+        if done:
+            self._resume(True)
+        elif self._deadline is not None and self.env._now >= self._deadline:
+            self._resume(_overrun(self._describe), False)
+        elif self._try_acquire():
+            self._resume(False)
+        else:
+            self._sleep()
+
+    def _resume(self, value, ok: bool = True) -> None:
+        handoff = self._handoff
+        handoff._ok = ok
+        handoff._value = value
+        callbacks, handoff.callbacks = handoff.callbacks, None
+        for callback in callbacks:
+            callback(handoff)

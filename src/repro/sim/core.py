@@ -195,6 +195,93 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay}>"
 
 
+class _Due(Event):
+    """A :class:`LazyTimer`'s queued entry (kernel-internal)."""
+
+    __slots__ = ("when",)
+
+
+class LazyTimer:
+    """A re-armable timeout that keeps at most one entry queued.
+
+    :meth:`arm` reserves the ``(when, PRIORITY_NORMAL, seq)`` slot a
+    :class:`Timeout` of the same delay would take, but queues it at once
+    only if no entry of this timer is live or the slot is due no later
+    than the live one.  Otherwise the live entry, when it pops, queues
+    the latest reservation; that slot is still in the future then, so
+    the heap orders it exactly where the eager timeout would have sat.
+    ``fire`` runs from the reserved slot's dispatch if the timer is
+    still armed.  A reservation that never needs queuing is *elided*;
+    :meth:`Environment.run` without ``until`` still ends at the latest
+    time ever reserved, as it would after the equivalent timeouts.
+    """
+
+    __slots__ = ("env", "_fire", "_armed", "_live", "_queued", "_when", "_seq")
+
+    def __init__(self, env: "Environment", fire: Callable[[], None]):
+        self.env = env
+        self._fire = fire
+        self._armed = False
+        #: The entry whose dispatch acts for this timer (None if none).
+        self._live: Optional[_Due] = None
+        #: Whether the current reservation is the live entry's slot.
+        self._queued = False
+        self._when = 0.0
+        self._seq = 0
+
+    def arm(self, delay: float) -> None:
+        """Reserve a firing ``delay`` seconds from now (replaces any other)."""
+        if delay < 0:
+            raise SimTimeError(f"negative timer delay: {delay}")
+        env = self.env
+        now = env._now
+        when = now + delay
+        self._armed = True
+        if when > now:
+            seq = env._seq
+            env._seq = seq + 1
+            if when > env._horizon:
+                env._horizon = when
+            live = self._live
+            if live is not None and live.when < when:
+                self._when = when
+                self._seq = seq
+                self._queued = False
+                return
+            self._live = self._entry(when)
+            heappush(env._heap, (when, 1, seq, self._live))
+        else:
+            self._live = self._entry(now)
+            env._cur_normal.append(self._live)
+        self._queued = True
+
+    def disarm(self) -> None:
+        """Cancel the current reservation; its slot will fire nothing."""
+        self._armed = False
+
+    def _entry(self, when: float) -> _Due:
+        entry = _Due(self.env)
+        entry._ok = True
+        entry._value = None
+        entry.when = when
+        entry.callbacks.append(self._due)
+        return entry
+
+    def _due(self, entry: _Due) -> None:
+        if entry is not self._live:
+            return  # superseded by an earlier-due arming
+        self._live = None
+        if not self._armed:
+            return
+        if not self._queued:
+            self._live = self._entry(self._when)
+            heappush(self.env._heap, (self._when, 1, self._seq, self._live))
+            self._queued = True
+            return
+        self._armed = False
+        self._fire()
+
+
 class _Wake(Event):
     """A pooled kernel-internal wakeup event.
 
@@ -229,6 +316,8 @@ class Environment:
         self._profile = None
         #: The process currently being resumed, if any.
         self.active_process = None
+        #: Latest time any :class:`LazyTimer` reserved (see :meth:`run`).
+        self._horizon = self._now
 
     @property
     def now(self) -> float:
@@ -308,7 +397,12 @@ class Environment:
                 heappush(self._cur_rare, (priority, entry[2], entry[3]))
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next queued event, or ``inf`` if none.
+
+        An elided :class:`LazyTimer` reservation is not queued, so it is
+        not reported: ``peek`` may name a later time (or ``inf``) than the
+        equivalent eager timeout would have.
+        """
         if self._cur_urgent or self._cur_normal or self._cur_rare:
             return self._now
         return self._heap[0][0] if self._heap else _INF
@@ -404,10 +498,14 @@ class Environment:
         """Run until the queue drains, ``until`` time passes, or event fires.
 
         Returns the value of ``until`` when it is an event; otherwise
-        ``None``.
+        ``None``.  Without ``until`` the clock ends at the later of the
+        last dispatch and the latest :class:`LazyTimer` reservation, as
+        if every elided reservation had been dispatched.
         """
         if until is None:
             self._drain()
+            if self._horizon > self._now:
+                self._now = self._horizon
             return None
         if isinstance(until, Event):
             sentinel = until

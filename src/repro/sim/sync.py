@@ -20,7 +20,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event, _PENDING
+from repro.sim.core import Environment, Event, LazyTimer, _PENDING
 
 
 class SimLock:
@@ -164,28 +164,48 @@ class AtomicCounter:
             self._lock.release()
 
 
-class _Race(Event):
-    """First-of-two race event: a lean stand-in for :class:`AnyOf`.
+class Parker(Event):
+    """One waiter's park on a :class:`Notify` latch, raced against a timer.
 
-    :meth:`Notify.wait` is the engine's hottest composite-event site and
-    never reads the condition's value dict, so the full ``Condition``
-    machinery (constituent list, fired-value dict, evaluate callable) is
-    dead weight there.  ``_win`` mirrors ``Condition._check`` exactly —
-    first constituent to process triggers the race at the current time
-    with normal priority, later ones no-op — so the scheduled event
-    sequence is identical to the ``AnyOf`` it replaces.
+    The park ends on whichever comes first: the latch generation it was
+    parked on is processed, or its fallback timer's slot comes round.
+    The winner calls :meth:`_wake` from its own dispatch; by default the
+    parker triggers itself at the current time with normal priority, so
+    a process that yielded it resumes exactly where it would have
+    resumed on an ``AnyOf(latch, timeout)``.  A timer win unhooks the
+    parker from the latch, so a re-park on the same latch generation
+    queues behind the waiters parked since, as a fresh park would.
+
+    :meth:`Notify.wait` returns a fresh parker per call.  A long-lived
+    waiter subclasses it, overrides :meth:`_wake`, and passes itself back
+    to every :meth:`Notify.wait`: its fallback is then one
+    :class:`~repro.sim.core.LazyTimer`, which keeps one heap entry
+    however often the waiter re-parks.
     """
 
-    __slots__ = ()
+    __slots__ = ("_notify", "_latch", "_on_latch_cb", "_timer")
 
-    def _win(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defuse()
-            self.fail(event._value)
+    def __init__(self, env: Environment):
+        super().__init__(env)
+        self._notify: Optional["Notify"] = None
+        #: The latch generation this parker is hooked on, while parked.
+        self._latch: Optional[Event] = None
+        self._on_latch_cb = self._on_latch
+        self._timer = LazyTimer(env, self._on_fallback)
+
+    def _on_latch(self, latch: Event) -> None:
+        self._latch = None
+        self._timer.disarm()
+        self._wake()
+
+    def _on_fallback(self) -> None:
+        self._latch.callbacks.remove(self._on_latch_cb)
+        self._latch = None
+        self._notify.fallback_wins += 1
+        self._wake()
+
+    def _wake(self) -> None:
+        self.succeed(None)
 
 
 class Notify:
@@ -200,18 +220,20 @@ class Notify:
     impossible to lose.
     """
 
-    __slots__ = ("env", "_event", "set_count")
+    __slots__ = ("env", "_event", "set_count", "fallback_wins")
 
     def __init__(self, env: Environment):
         self.env = env
         self._event = Event(env)
         #: Total sets that armed the latch (coalesced sets not counted).
         self.set_count = 0
+        #: Parks that ended on their fallback timer rather than a set.
+        self.fallback_wins = 0
 
     @property
     def pending(self) -> bool:
         """Whether a set has landed since the last :meth:`consume`."""
-        return self._event.triggered
+        return self._event._value is not _PENDING
 
     def set(self) -> None:
         """Arm the latch, waking the current wait event (idempotent)."""
@@ -223,25 +245,31 @@ class Notify:
         """Re-arm after observing a pending set (edge-triggered reset)."""
         self._event = Event(self.env)
 
-    def wait(self, fallback: Optional[float] = None) -> Event:
-        """Event firing on the next set (or after ``fallback`` seconds).
+    def wait(self, fallback: Optional[float] = None,
+             parker: Optional[Parker] = None) -> Event:
+        """Park until the next set (or for at most ``fallback`` seconds).
 
-        The returned event references the *current* latch generation:
-        a set that landed before this call fires it immediately, so a
-        parker can never sleep through a wakeup it has not consumed.
+        Without ``fallback`` this is the *current* latch generation's
+        event.  With it, the park is a :class:`Parker` (``parker``, or a
+        fresh one) hooked on that generation and racing a fallback
+        timer.  Either way a set that landed before this call ends the
+        park at once, so a parker can never sleep through a wakeup it
+        has not consumed.  Pass a parker back in only after it woke.
         """
         if fallback is None:
             return self._event
+        if parker is None:
+            parker = Parker(self.env)
         latch = self._event
-        timer = self.env.timeout(fallback)
-        race = _Race(self.env)
+        parker._notify = self
+        parker._timer.arm(fallback)
         if latch.callbacks is None:
             # Latch generation already processed: win immediately.
-            race._win(latch)
+            parker._on_latch(latch)
         else:
-            latch.callbacks.append(race._win)
-        timer.callbacks.append(race._win)
-        return race
+            parker._latch = latch
+            latch.callbacks.append(parker._on_latch_cb)
+        return parker
 
 
 class SimBarrier:

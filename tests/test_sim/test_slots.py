@@ -11,10 +11,11 @@ from __future__ import annotations
 import pytest
 
 from repro.config import NICConfig
+from repro.engine.progress import ProgressEngine, _IdleWait
 from repro.ib.constants import Opcode, WCOpcode, WCStatus
 from repro.ib.link import IngressPort, WireTimeTable
 from repro.ib.wr import SGE, RecvWR, SendWR, WorkCompletion
-from repro.sim.core import Environment, Event, Timeout, _Wake
+from repro.sim.core import Environment, Event, LazyTimer, Timeout, _Due, _Wake
 from repro.sim.events import AllOf, AnyOf, Condition
 from repro.sim.process import Process
 from repro.sim.profile import EventTypeStats, KernelProfile
@@ -22,10 +23,10 @@ from repro.sim.resources import PriorityResource, Request, Resource, Store
 from repro.sim.sync import (
     AtomicCounter,
     Notify,
+    Parker,
     SimBarrier,
     SimLock,
     SimSemaphore,
-    _Race,
 )
 
 
@@ -51,7 +52,10 @@ def _instances():
     yield AtomicCounter(env)
     yield Notify(env)
     yield SimBarrier(env, parties=1)
-    yield _Race(env)
+    yield Parker(env)
+    yield _IdleWait(ProgressEngine(env, 1e-9), lambda: True, None, "")
+    yield LazyTimer(env, lambda: None)
+    yield _Due(env)
     yield sge
     yield SendWR(wr_id=1, opcode=Opcode.RDMA_WRITE, sg_list=[sge])
     yield RecvWR(wr_id=2)
