@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.errors import MPIError
+from repro.errors import MPIError, PartitionError
 
 if TYPE_CHECKING:
     from repro.mpi.process import MPIProcess
@@ -84,10 +84,35 @@ class PartitionedCollective:
 
         ``neighbor=None`` readies the partition on every outgoing edge
         — the common stencil idiom where one thread's boundary work
-        feeds all of its faces at once.
+        feeds all of its faces at once.  The ``low == high`` case of
+        :meth:`pready_range`.
         """
-        for nbr in self._pready_targets(neighbor):
-            yield from self.process.pready(self.sends[nbr], partition)
+        return self.pready_range(partition, partition, neighbor)
+
+    def pready_range(self, low: int, high: int,
+                     neighbor: Optional[int] = None):
+        """Mark partitions ``low..high`` (inclusive) ready; yields.
+
+        Every bound is checked on every target edge before anything is
+        marked.  The loop is partition-major: partition ``p`` is readied
+        on each edge in turn before ``p + 1``, exactly as a loop of
+        single-partition calls would.
+        """
+        process = self.process
+        reqs = [self.sends[nbr] for nbr in self._pready_targets(neighbor)]
+        self._check_range(low, high)
+        for req in reqs:
+            process.check_pready(req, low, high)
+        for partition in range(low, high + 1):
+            if process.profiler is not None:
+                process.profiler.on_coll_pready(process, self, partition)
+            for req in reqs:
+                yield from process.mark_ready(req, partition)
+
+    def _check_range(self, low: int, high: int) -> None:
+        if low > high:
+            raise PartitionError(
+                f"partition range [{low}, {high}] is empty (low > high)")
 
     def _pready_targets(self, neighbor: Optional[int]) -> Iterable[int]:
         if neighbor is None:

@@ -2,8 +2,8 @@
 
 A 2-D/3-D Cartesian rank grid exchanging halos each timestep through
 one persistent :class:`~repro.coll.neighbor.PneighborAlltoall` per
-rank: worker threads compute interior rows and ``Pready`` their slice
-of the boundary partitions as they finish, on every face at once.
+rank: worker threads compute interior rows and ``Pready_range`` their
+slice of the boundary partitions as they finish, on every face at once.
 
 The anisotropy knob matters here: ``face_bytes`` may differ per axis
 (a non-cubic local domain), so a rank's edges carry different message
@@ -177,8 +177,9 @@ def run_stencil(
                           cores=config.host.cores_per_node)
 
         def body(tid):
-            for p in range(tid * per_thread, (tid + 1) * per_thread):
-                yield from proc.pcoll_pready(coll, p)
+            # One MPI_Pready_range over the thread's boundary slice.
+            low = tid * per_thread
+            return proc.pcoll_pready_range(coll, low, low + per_thread - 1)
 
         for it in range(total_rounds):
             yield barrier.wait()
@@ -188,7 +189,7 @@ def run_stencil(
                 for nbr, buf in send_bufs.items():
                     buf.fill_pattern(fill_seed(it, rid, nbr))
             yield from proc.pcoll_start(coll)
-            yield team.run_round(phase, lambda tid: body(tid))
+            yield team.run_round(phase, body)
             yield from proc.pcoll_wait(coll)
             if backed:
                 for nbr, buf in recv_bufs.items():

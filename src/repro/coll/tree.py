@@ -59,6 +59,11 @@ class _TreeCollective(PartitionedCollective):
             raise PartitionError(
                 f"partition {index} outside [0, {self.buf.n_partitions})")
 
+    def _check_range(self, low: int, high: int) -> None:
+        self._check_partition(low)
+        self._check_partition(high)
+        super()._check_range(low, high)
+
 
 class Pbcast(_TreeCollective):
     """Persistent partitioned broadcast.
@@ -109,13 +114,13 @@ class Pbcast(_TreeCollective):
                 for child in self.children:
                     yield from self.process.pready(self.sends[child], p)
 
-    def pready(self, partition: int, neighbor: Optional[int] = None):
+    def pready_range(self, low: int, high: int,
+                     neighbor: Optional[int] = None):
         if self.process.rank != self.root:
             raise MPIError(
                 f"Pready on a Pbcast is root-only (rank "
                 f"{self.process.rank}, root {self.root})")
-        self._check_partition(partition)
-        yield from super().pready(partition, neighbor)
+        yield from super().pready_range(low, high, neighbor)
 
     def parrived(self, neighbor: Optional[int] = None, partition: int = 0):
         """Whether ``partition`` holds broadcast data on this rank yet.
@@ -243,16 +248,21 @@ class Pallreduce(_TreeCollective):
 
     # -- app surface -----------------------------------------------------
 
-    def pready(self, partition: int, neighbor: Optional[int] = None):
-        """Mark this rank's contribution to ``partition`` ready."""
-        self._check_partition(partition)
+    def pready_range(self, low: int, high: int,
+                     neighbor: Optional[int] = None):
+        """Mark this rank's contribution to ``low..high`` ready."""
+        self._check_range(low, high)
         if neighbor is not None:
             raise MPIError(
                 "an allreduce contribution is collective; it cannot be "
                 "readied toward a single neighbor")
-        self._own_ready[partition] = True
-        self.process.engine.kick()
-        yield from self.process.engine.progress_once()
+        process = self.process
+        for partition in range(low, high + 1):
+            if process.profiler is not None:
+                process.profiler.on_coll_pready(process, self, partition)
+            self._own_ready[partition] = True
+            process.engine.kick()
+            yield from process.engine.progress_once()
 
     def parrived(self, neighbor: Optional[int] = None, partition: int = 0):
         """Whether the *reduced* result for ``partition`` is in ``buf``."""

@@ -223,18 +223,43 @@ class UCXConfig:
     n_lanes: int = 2
 
     def protocol_for(self, nbytes: int) -> ProtocolCosts:
-        """The protocol tier UCX selects for a message of ``nbytes``."""
+        """The protocol tier UCX selects for a message of ``nbytes``.
+
+        The four tiers are pure functions of this frozen config, so they
+        are built on first use and shared after.  The cache is not a
+        field: equality, hashing, repr, ``asdict`` and pickling ignore
+        it.
+        """
+        try:
+            inline, bcopy, zcopy, rndv = self._tiers
+        except AttributeError:
+            inline, bcopy, zcopy, rndv = self._build_tiers()
         if nbytes <= self.inline_max:
-            return ProtocolCosts("inline", self.t_inline, self.gap_inline,
-                                 self.rx_inline)
+            return inline
         if nbytes <= self.eager_bcopy_max:
-            return ProtocolCosts("eager-bcopy", self.t_eager_bcopy,
-                                 self.gap_bcopy, self.rx_bcopy, copies=True)
+            return bcopy
         if nbytes <= self.eager_zcopy_max:
-            return ProtocolCosts("eager-zcopy", self.t_eager_zcopy,
-                                 self.gap_zcopy, self.rx_zcopy)
-        return ProtocolCosts("rndv", self.t_rndv, self.gap_rndv,
-                             self.rx_rndv, rendezvous=True)
+            return zcopy
+        return rndv
+
+    def _build_tiers(self) -> tuple[ProtocolCosts, ...]:
+        tiers = (
+            ProtocolCosts("inline", self.t_inline, self.gap_inline,
+                          self.rx_inline),
+            ProtocolCosts("eager-bcopy", self.t_eager_bcopy,
+                          self.gap_bcopy, self.rx_bcopy, copies=True),
+            ProtocolCosts("eager-zcopy", self.t_eager_zcopy,
+                          self.gap_zcopy, self.rx_zcopy),
+            ProtocolCosts("rndv", self.t_rndv, self.gap_rndv,
+                          self.rx_rndv, rendezvous=True),
+        )
+        object.__setattr__(self, "_tiers", tiers)
+        return tiers
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_tiers", None)
+        return state
 
     def validate(self) -> None:
         if not (0 < self.inline_max <= self.eager_bcopy_max

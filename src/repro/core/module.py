@@ -253,7 +253,7 @@ class NativeVerbsModule(PartitionedModule):
         self.group_size = self.send_req.n_partitions // choice.n_transport
         self.current_delta = choice.delta
         self._planned_round = round_no
-        self._round_t0 = self.env.now
+        self._round_t0 = self.env._now
         self._counter_snapshot = counters.snapshot()
         self._wrs_snapshot = self.total_wrs_posted
         self._flush_snapshot = self.timer_flushes
@@ -344,7 +344,7 @@ class NativeVerbsModule(PartitionedModule):
         """Atomic arrival marking plus group-completion posting."""
         group = partition // self.group_size
         self._arrived[partition] = True
-        self._round_pready_times[partition] = self.env.now
+        self._round_pready_times[partition] = self.env._now
         self._ready_count += 1
         count = yield from self._counters[group].add_and_fetch(1)
         if self._active_delta is None:
@@ -700,7 +700,7 @@ class NativeVerbsModule(PartitionedModule):
                 and (self.ladder is None
                      or not self.ladder.blocks_completion)
                 and bool(self._sent.all())):
-            self._round_send_done = self.env.now
+            self._round_send_done = self.env._now
             self.send_req.mark_complete()
 
     def _on_recv_wc(self, wc):
@@ -731,7 +731,7 @@ class NativeVerbsModule(PartitionedModule):
         if self._retired_for(req):
             return
         if not req.done and req.all_arrived:
-            self._round_recv_done = self.env.now
+            self._round_recv_done = self.env._now
             req.mark_complete()
 
 

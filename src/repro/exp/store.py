@@ -114,6 +114,9 @@ class CompareReport:
     improvements: list[Delta] = field(default_factory=list)
     unchanged: int = 0
     missing: list[str] = field(default_factory=list)
+    #: Series (or series points) only the new artifact has: listed so
+    #: new coverage is visible, but not gated until it is baselined.
+    new_only: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -134,6 +137,8 @@ class CompareReport:
                 f"({delta.change:+.1%})")
         for key in self.missing:
             lines.append(f"  MISSING    {key} (present in baseline only)")
+        for key in self.new_only:
+            lines.append(f"  new        {key} (not in baseline)")
         lines.append(
             f"  {self.unchanged} value(s) within threshold; "
             + ("OK" if self.ok else "FAIL"))
@@ -148,7 +153,8 @@ def compare_results(new: dict, old: dict,
     higher-is-better metric (speedup, bandwidth) a drop is a
     regression; for lower-is-better (times) a rise is.  Keys present
     only in the new artifact are ignored (new coverage is not a
-    regression); keys that disappeared are reported as missing.
+    regression) but listed in ``new_only``; keys that disappeared are
+    reported as missing.
     """
     metric = old.get("metric", {})
     higher_better = bool(metric.get("higher_is_better", True))
@@ -156,6 +162,8 @@ def compare_results(new: dict, old: dict,
         experiment=old.get("experiment", "?"), threshold=threshold)
     old_series = old.get("series", {})
     new_series = new.get("series", {})
+    report.new_only.extend(label for label in new_series
+                           if label not in old_series)
     for label, old_values in old_series.items():
         new_values = new_series.get(label)
         if new_values is None:
@@ -163,6 +171,8 @@ def compare_results(new: dict, old: dict,
             continue
         if not isinstance(old_values, dict):
             old_values, new_values = {"": old_values}, {"": new_values}
+        report.new_only.extend(f"{label} @ {key}" for key in new_values
+                               if key not in old_values)
         for key, old_value in old_values.items():
             if key not in new_values:
                 report.missing.append(f"{label} @ {key}")

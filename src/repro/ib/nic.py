@@ -105,6 +105,7 @@ class NIC:
     def _qp_fetcher(self, qp: QueuePair):
         """Stage 1: fetch/parse WQEs (pipelines with transmission)."""
         cfg = self.config.nic
+        trace = self.trace
         while True:
             wr: SendWR = yield qp.sq.get()
             qp.sq_depth -= 1
@@ -118,9 +119,10 @@ class NIC:
             # is a scatter sink, so there is nothing to gather here.
             payload = (None if wr.opcode is Opcode.RDMA_READ
                        else self._gather(qp, wr))
-            self.trace.record(self.env.now, "ib.wqe_start", self.node_id,
-                              qp=qp.qp_num, wr_id=wr.wr_id,
-                              nbytes=wr.total_length)
+            if trace.enabled:
+                trace.record(self.env._now, "ib.wqe_start", self.node_id,
+                             qp=qp.qp_num, wr_id=wr.wr_id,
+                             nbytes=wr.total_length)
             yield qp._txq.put((wr, payload))
 
     def _qp_transmitter(self, qp: QueuePair):
@@ -158,7 +160,7 @@ class NIC:
         latency = self.fabric.latency(self.node_id, remote.node_id)
         egress = self.egress_for(qp)
         ingress = remote.ingress_for(qp)
-        arrival = env.now
+        arrival = env._now
         for chunk in wires.chunks(nbytes):
             # Per-QP injection rate limit: spaces chunk starts so a lone
             # QP tops out at qp_rate; gaps are usable by other QPs.
@@ -677,10 +679,10 @@ class NIC:
                 else WCOpcode.SEND,
                 qp_num=qp.qp_num,
                 byte_len=nbytes,
-                completed_at=env.now,
+                completed_at=env._now,
             ))
 
-        env.timeout(max(0.0, arrival - env.now)).callbacks.append(on_arrival)
+        env.timeout(max(0.0, arrival - env._now)).callbacks.append(on_arrival)
 
     def _deliver(self, src_qp: QueuePair, wr: SendWR, payload, nbytes: int) -> None:
         """Inbound message: place data, consume RQ entry, raise CQE."""
@@ -699,8 +701,10 @@ class NIC:
             mr = dest_qp.pd.find_mr_by_rkey(wr.rkey)
             mr.check_remote_write(wr.remote_addr, nbytes, wr.rkey)
             mr.buffer.write(mr.local_offset(wr.remote_addr), payload)
-        self.trace.record(self.env.now, "ib.deliver", self.node_id,
-                          qp=dest_qp.qp_num, wr_id=wr.wr_id, nbytes=nbytes)
+        if self.trace.enabled:
+            self.trace.record(self.env._now, "ib.deliver", self.node_id,
+                              qp=dest_qp.qp_num, wr_id=wr.wr_id,
+                              nbytes=nbytes)
         if wr.opcode.consumes_recv_wr:
             recv_wr = dest_qp.consume_recv()
             if wr.opcode in (Opcode.SEND, Opcode.SEND_WITH_IMM):
@@ -720,7 +724,7 @@ class NIC:
                     qp_num=dest_qp.qp_num,
                     byte_len=nbytes,
                     imm_data=wr.imm_data,
-                    completed_at=env.now,
+                    completed_at=env._now,
                 ))
 
             # Plain timer callback: the CQE raise is a single fixed wait,

@@ -27,25 +27,33 @@ class ProtectionDomain:
         self.handle = ProtectionDomain._next_handle
         ProtectionDomain._next_handle += 1
         self.mrs: list[MemoryRegion] = []
+        #: Every key (lkey and rkey) of every MR registered here -> MR.
+        #: Keys come from one global counter, so the two kinds never
+        #: collide; lookups still check the kind and ``valid``.
+        self._by_key: dict[int, MemoryRegion] = {}
         self.qps: list = []
 
     def reg_mr(self, buffer: Buffer, access: int = ACCESS_LOCAL) -> MemoryRegion:
         """Register ``buffer``, returning the MR (``ibv_reg_mr``)."""
         mr = MemoryRegion(self, buffer, access)
         self.mrs.append(mr)
+        self._by_key[mr.lkey] = mr
+        self._by_key[mr.rkey] = mr
         return mr
 
     def find_mr_by_lkey(self, lkey: int) -> MemoryRegion:
-        for mr in self.mrs:
-            if mr.lkey == lkey and mr.valid:
-                return mr
-        raise ProtectionError(f"no valid MR with lkey {lkey:#x} in PD {self.handle}")
+        mr = self._by_key.get(lkey)
+        if mr is None or mr.lkey != lkey or not mr._valid:
+            raise ProtectionError(
+                f"no valid MR with lkey {lkey:#x} in PD {self.handle}")
+        return mr
 
     def find_mr_by_rkey(self, rkey: int) -> MemoryRegion:
-        for mr in self.mrs:
-            if mr.rkey == rkey and mr.valid:
-                return mr
-        raise ProtectionError(f"no valid MR with rkey {rkey:#x} in PD {self.handle}")
+        mr = self._by_key.get(rkey)
+        if mr is None or mr.rkey != rkey or not mr._valid:
+            raise ProtectionError(
+                f"no valid MR with rkey {rkey:#x} in PD {self.handle}")
+        return mr
 
     def __repr__(self) -> str:
         return f"<PD handle={self.handle} mrs={len(self.mrs)} qps={len(self.qps)}>"

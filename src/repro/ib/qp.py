@@ -175,7 +175,7 @@ class QueuePair:
         self.sq_depth += 1
         self.posted_sends += 1
         self.bytes_sent += wr.total_length
-        self.sq.put(wr)
+        self.sq.put_nowait(wr)
 
     def post_recv(self, wr: RecvWR) -> None:
         """Enqueue a receive WR (``ibv_post_recv``)."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
@@ -70,7 +70,7 @@ class MsgKind(enum.Enum):
     PART_ATS = "part-ats"       # persist-module ack-to-sender after get
 
 
-@dataclass
+@dataclass(slots=True)
 class Header:
     """Out-of-band message header (bytes accounted as HEADER_BYTES)."""
 
@@ -85,7 +85,7 @@ class Header:
     ring_offset: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _PumpItem:
     """One message handed to the channel pump."""
 
@@ -169,7 +169,7 @@ class Channel:
 
     def submit(self, item: _PumpItem) -> None:
         """Hand a message to the pump (non-blocking, FIFO)."""
-        self._pump_queue.put(item)
+        self._pump_queue.put_nowait(item)
 
     def alloc_ring(self, nbytes: int) -> int:
         """Allocate ring space for an eager payload (sender-owned head)."""
@@ -192,8 +192,8 @@ class Channel:
             item: _PumpItem = yield self._pump_queue.get()
             if item.cpu_cost > 0:
                 yield item.cpu_cost
-            if env.now < next_send:
-                yield next_send - env.now
+            if env._now < next_send:
+                yield next_send - env._now
             header = item.header
             # Bulk payloads stripe across data lanes; eager traffic
             # stays ordered on lane 0; header-only control messages get
@@ -240,8 +240,8 @@ class Channel:
             ))
             # Header bytes ride in front of the payload on the wire;
             # their serialization is folded into the injection gap.
-            next_send = env.now + max(item.gap,
-                                      HEADER_BYTES / self.src.config.nic.line_rate)
+            next_send = env._now + max(item.gap,
+                                       HEADER_BYTES / self.src.config.nic.line_rate)
             self.messages_sent += 1
             self.bytes_sent += wire_bytes
 

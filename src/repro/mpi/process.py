@@ -66,6 +66,8 @@ class MPIProcess:
         self._unexpected: list[tuple[Header, Optional[np.ndarray]]] = []
         self._unexpected_rts: list[Header] = []
         self._pending_rndv_sends: dict[int, tuple[P2PRequest, object]] = {}
+        #: The attached :class:`~repro.profiler.PMPIProfiler`, if any.
+        self.profiler = None
 
     # ------------------------------------------------------------------
     # plumbing
@@ -409,13 +411,41 @@ class MPIProcess:
             yield from req.module.start_recv(req)
 
     def pready(self, req: PsendRequest, partition: int):
-        """``MPI_Pready``: mark a partition ready; yields (thread context)."""
+        """``MPI_Pready``: mark a partition ready; yields (thread context).
+
+        The ``low == high`` case of :meth:`pready_range`.
+        """
+        return self.pready_range(req, partition, partition)
+
+    def pready_range(self, req: PsendRequest, low: int, high: int):
+        """``MPI_Pready_range``: mark partitions ``low..high`` ready; yields.
+
+        Bounds are inclusive, as in MPI 4.0, and all of them are checked
+        before any partition is marked.  Partitions are then readied one
+        by one in index order, each with the same transport work (and
+        the same simulated cost) as its own ``MPI_Pready`` call.
+        """
+        self.check_pready(req, low, high)
+        for partition in range(low, high + 1):
+            yield from self.mark_ready(req, partition)
+
+    def check_pready(self, req: PsendRequest, low: int, high: int) -> None:
+        """Validate a ``Pready``/``Pready_range`` call; marks nothing."""
         req.require_active("Pready")
-        req.check_partition(partition)
+        req.check_range(low, high)
         if not isinstance(req, PsendRequest):
             raise RequestError("Pready is only valid on Psend requests")
+
+    def mark_ready(self, req: PsendRequest, partition: int):
+        """Ready one validated partition: returns the module's generator.
+
+        Records the pready time (and the attached profiler's sample)
+        now, when the partition is readied, not when a range call began.
+        """
         req.record_pready(partition)
-        yield from req.module.pready(req, partition)
+        if self.profiler is not None:
+            self.profiler.on_pready(self, req, partition)
+        return req.module.pready(req, partition)
 
     def parrived(self, req: PrecvRequest, partition: int):
         """``MPI_Parrived``: yields, returns arrival of one partition.
@@ -488,9 +518,16 @@ class MPIProcess:
 
         ``neighbor=None`` readies the partition on every outgoing edge
         (the contribution is complete); a rank readies toward a single
-        neighbor by naming it.
+        neighbor by naming it.  The ``low == high`` case of
+        :meth:`pcoll_pready_range`.
         """
-        yield from coll.pready(partition, neighbor=neighbor)
+        return coll.pready_range(partition, partition, neighbor)
+
+    def pcoll_pready_range(self, coll, low: int, high: int, neighbor=None):
+        """``MPI_Pready_range`` on a collective: partitions ``low..high``
+        (inclusive) on every outgoing edge, or toward ``neighbor``; yields.
+        """
+        return coll.pready_range(low, high, neighbor)
 
     def pcoll_parrived(self, coll, neighbor, partition: int):
         """``MPI_Parrived`` on one inbound edge of a collective; yields."""

@@ -35,7 +35,7 @@ class Request:
     def mark_complete(self) -> None:
         if not self._complete:
             self._complete = True
-            self.completed_at = self.process.env.now
+            self.completed_at = self.process.env._now
 
     def __repr__(self) -> str:
         state = "done" if self._complete else "pending"
@@ -156,6 +156,15 @@ class PartitionedRequest(Request):
             raise PartitionError(
                 f"partition {index} outside [0, {self.n_partitions})")
 
+    def check_range(self, low: int, high: int) -> None:
+        """Validate the inclusive partition range ``low..high``."""
+        self.check_partition(low)
+        if high != low:
+            self.check_partition(high)
+            if low > high:
+                raise PartitionError(
+                    f"partition range [{low}, {high}] is empty (low > high)")
+
     def require_active(self, what: str) -> None:
         if self.state is not PartitionedState.ACTIVE:
             raise RequestError(
@@ -165,7 +174,7 @@ class PartitionedRequest(Request):
         # Persistent requests go COMPLETE, not terminal: Start re-arms.
         if not self._complete:
             self._complete = True
-            self.completed_at = self.process.env.now
+            self.completed_at = self.process.env._now
             self.state = PartitionedState.COMPLETE
 
     def rearm(self) -> None:
@@ -188,7 +197,7 @@ class PsendRequest(PartitionedRequest):
         self.pready_times: list[Optional[float]] = [None] * self.n_partitions
 
     def record_pready(self, index: int) -> None:
-        self.pready_times[index] = self.process.env.now
+        self.pready_times[index] = self.process.env._now
 
     def reset_round_stats(self) -> None:
         self.pready_times = [None] * self.n_partitions
@@ -211,7 +220,7 @@ class PrecvRequest(PartitionedRequest):
             raise PartitionError(
                 f"arrival range [{start}, {start + count}) outside "
                 f"[0, {self.n_partitions})")
-        now = self.process.env.now
+        now = self.process.env._now
         self.arrived[start : start + count] = True
         for i in range(start, start + count):
             self.arrival_times[i] = now

@@ -1,18 +1,26 @@
 """PMPI-style interposition on the partitioned entry points.
 
-Attaching a profiler to a process wraps ``start`` and ``pready`` the
-way a PMPI shim wraps ``MPI_Start``/``MPI_Pready``: the original call
+Attaching a profiler to a process wraps ``start`` and the waits the
+way a PMPI shim wraps ``MPI_Start``/``MPI_Wait``: the original call
 runs unchanged, and the profiler records the virtual timestamp of the
 program *reaching* the call — exactly the measurement methodology of
 Section V-C2 ("measure the time the program arrives at MPI_Start, and
 at each MPI_Pready call").
 
-The partitioned-collective entry points (``pcoll_start`` /
-``pcoll_pready`` / ``pcoll_wait``) are interposed the same way: each
-Start..Wait cycle of a collective becomes a :class:`CollectiveRound`
-carrying both the program-side pready call times and, per neighbor,
-the ``MPI_Pready`` timeline the edge's send request observed — the
-per-edge quantity the δ-timer and per-edge autotuners react to.
+Ready calls are sampled per partition instead of wrapped per call:
+``pready``, ``pready_range``, ``pcoll_pready`` and
+``pcoll_pready_range`` all ready partitions through one routine, which
+calls :meth:`PMPIProfiler.on_pready` (and the collective's
+:meth:`PMPIProfiler.on_coll_pready`) at the moment each partition is
+readied — a range call samples every partition in it, at the time a
+loop of single calls would have.  With no profiler attached the hook
+costs one ``is None`` test.
+
+Each Start..Wait cycle of a collective becomes a
+:class:`CollectiveRound` carrying both the program-side pready times
+and, per neighbor, the ``MPI_Pready`` timeline the edge's send request
+observed — the per-edge quantity the δ-timer and per-edge autotuners
+react to.
 """
 
 from __future__ import annotations
@@ -59,8 +67,8 @@ class CollectiveRound:
     epoch: int
     round_index: int
     t_start: float
-    #: partition -> time the program reached ``pcoll_pready`` for it
-    #: (a ``neighbor=None`` fan-out records once, at the call site).
+    #: partition -> time the collective readied it (a ``neighbor=None``
+    #: fan-out records once, as its first edge is readied).
     pready: dict[int, float] = field(default_factory=dict)
     #: neighbor rank -> per-partition ``MPI_Pready`` timestamps on that
     #: outgoing edge, snapshotted when the round's Wait completes.
@@ -94,12 +102,17 @@ class PMPIProfiler:
         self._attached: list = []
 
     def attach(self, process: "MPIProcess") -> None:
-        """Interpose on ``process`` (idempotent per process)."""
+        """Interpose on ``process`` (idempotent per process).
+
+        A process holds one profiler: attaching a second raises.
+        """
         if process in self._attached:
             return
+        if process.profiler is not None:
+            raise ValueError(f"{process!r} already has a profiler attached")
         self._attached.append(process)
+        process.profiler = self
         orig_start = process.start
-        orig_pready = process.pready
         orig_wait = process.wait_partitioned
         profiler = self
 
@@ -108,29 +121,17 @@ class PMPIProfiler:
             result = yield from orig_start(req)
             return result
 
-        def pready(req, partition):
-            profiler._record_pready(process, req, partition)
-            result = yield from orig_pready(req, partition)
-            return result
-
         def wait_partitioned(req):
             result = yield from orig_wait(req)
             profiler._record_complete(process, req)
             return result
 
         orig_pcoll_start = process.pcoll_start
-        orig_pcoll_pready = process.pcoll_pready
         orig_pcoll_wait = process.pcoll_wait
 
         def pcoll_start(coll):
             profiler._record_coll_start(process, coll)
             result = yield from orig_pcoll_start(coll)
-            return result
-
-        def pcoll_pready(coll, partition, neighbor=None):
-            profiler._record_coll_pready(process, coll, partition)
-            result = yield from orig_pcoll_pready(coll, partition,
-                                                  neighbor=neighbor)
             return result
 
         def pcoll_wait(coll):
@@ -139,10 +140,8 @@ class PMPIProfiler:
             return result
 
         process.start = start
-        process.pready = pready
         process.wait_partitioned = wait_partitioned
         process.pcoll_start = pcoll_start
-        process.pcoll_pready = pcoll_pready
         process.pcoll_wait = pcoll_wait
 
     @staticmethod
@@ -166,7 +165,8 @@ class PMPIProfiler:
         self._open[req.request_id] = record
         self.rounds.append(record)
 
-    def _record_pready(self, process, req, partition) -> None:
+    def on_pready(self, process, req, partition) -> None:
+        """Hook: ``partition`` of ``req`` is being readied now."""
         record = self._open.get(req.request_id)
         if record is not None:
             record.pready[partition] = process.env.now
@@ -191,7 +191,8 @@ class PMPIProfiler:
         self._open_coll[id(coll)] = record
         self.coll_rounds.append(record)
 
-    def _record_coll_pready(self, process, coll, partition) -> None:
+    def on_coll_pready(self, process, coll, partition) -> None:
+        """Hook: ``partition`` of collective ``coll`` is being readied."""
         record = self._open_coll.get(id(coll))
         if record is not None and partition not in record.pready:
             record.pready[partition] = process.env.now

@@ -171,6 +171,23 @@ class Store:
             self._putters.append((ev, item))
         return ev
 
+    def put_nowait(self, item: Any) -> None:
+        """Deposit ``item`` for a caller that never waits on the put.
+
+        Hands the item to the oldest waiting getter, or appends it, as
+        :meth:`put` does, but schedules no put event: nothing would wait
+        on it, and it takes no sequence number, so dropping it leaves
+        every other event's ``(time, priority, seq)`` slot as it was.
+        A full bounded store raises instead of parking the item.
+        """
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        elif len(self.items) < self.capacity:
+            self.items.append(item)
+        else:
+            raise SimulationError(
+                f"put_nowait on a full store (capacity {self.capacity})")
+
     def drain(self) -> list:
         """Remove and return every queued item (no waiter interaction).
 

@@ -1,6 +1,7 @@
 """Tests for the configuration layer."""
 
 import dataclasses
+import pickle
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.config import (
     NICConfig,
     NIAGARA,
     PartitionedConfig,
+    ProtocolCosts,
     UCXConfig,
 )
 from repro.errors import ConfigError
@@ -67,6 +69,61 @@ def test_protocol_properties():
     assert not ucx.protocol_for(4 * KiB).copies  # zcopy does not
     assert ucx.protocol_for(1 << 20).rendezvous
     assert not ucx.protocol_for(64).rendezvous
+
+
+def _tier_formula(ucx: UCXConfig, nbytes: int) -> ProtocolCosts:
+    """The tier table, written out independently of the cached lookup."""
+    if nbytes <= ucx.inline_max:
+        return ProtocolCosts("inline", ucx.t_inline, ucx.gap_inline,
+                             ucx.rx_inline)
+    if nbytes <= ucx.eager_bcopy_max:
+        return ProtocolCosts("eager-bcopy", ucx.t_eager_bcopy, ucx.gap_bcopy,
+                             ucx.rx_bcopy, copies=True)
+    if nbytes <= ucx.eager_zcopy_max:
+        return ProtocolCosts("eager-zcopy", ucx.t_eager_zcopy, ucx.gap_zcopy,
+                             ucx.rx_zcopy)
+    return ProtocolCosts("rndv", ucx.t_rndv, ucx.gap_rndv, ucx.rx_rndv,
+                         rendezvous=True)
+
+
+@pytest.mark.parametrize("ucx", [
+    NIAGARA.ucx,
+    UCXConfig(inline_max=100, eager_bcopy_max=300, eager_zcopy_max=5000,
+              t_rndv=1e-6, rx_bcopy=2e-7),
+], ids=["niagara", "custom"])
+def test_protocol_for_matches_formula_at_every_boundary(ucx):
+    sizes = [0, 1]
+    for edge in (ucx.inline_max, ucx.eager_bcopy_max, ucx.eager_zcopy_max):
+        sizes += [edge - 1, edge, edge + 1]
+    sizes.append(1 << 30)
+    for nbytes in sizes:
+        assert ucx.protocol_for(nbytes) == _tier_formula(ucx, nbytes), nbytes
+
+
+def test_protocol_tier_cache_is_invisible():
+    fresh = UCXConfig(inline_max=128)
+    used = UCXConfig(inline_max=128)
+    pickled_fresh = pickle.dumps(fresh)
+    before = (repr(used), hash(used), dataclasses.asdict(used))
+    used.protocol_for(64)
+    used.protocol_for(1 << 20)
+    assert used == fresh
+    assert (repr(used), hash(used), dataclasses.asdict(used)) == before
+    assert pickle.dumps(used) == pickled_fresh
+    clone = pickle.loads(pickle.dumps(used))
+    assert clone == used
+    assert clone.protocol_for(64) == used.protocol_for(64)
+    # Shared tiers are frozen, so a caller cannot corrupt the cache.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        used.protocol_for(64).t_send = 1.0
+
+
+def test_replaced_config_gets_its_own_tiers():
+    base = UCXConfig()
+    base.protocol_for(64)
+    cheaper = dataclasses.replace(base, t_inline=1e-9)
+    assert cheaper.protocol_for(64).t_send == 1e-9
+    assert base.protocol_for(64).t_send == base.t_inline
 
 
 def test_ucx_validation():

@@ -109,6 +109,20 @@ def test_new_coverage_is_not_a_regression():
     assert compare_results(new, old).ok
 
 
+def test_new_coverage_is_listed_as_not_in_baseline():
+    old = artifact({"T=2": {"65536": 1.0}})
+    new = artifact({"T=2": {"65536": 1.0, "262144": 2.0},
+                    "T=8": {"65536": 1.0}})
+    report = compare_results(new, old)
+    assert report.ok
+    assert report.new_only == ["T=8", "T=2 @ 262144"]
+    text = report.format()
+    assert "T=8 (not in baseline)" in text
+    assert "T=2 @ 262144 (not in baseline)" in text
+    assert text.endswith("OK")
+    assert compare_results(old, old).new_only == []
+
+
 def test_scalar_series_values_compare():
     old = artifact({"early fraction": 0.5})
     worse = artifact({"early fraction": 0.2})

@@ -229,3 +229,72 @@ def test_ladder_rounds_report_rung_and_level():
     record = profiler.completed_rounds()[0]
     assert record.module == "native_verbs"
     assert record.level == 0
+
+
+# ---------------------------------------------------------------------------
+# range calls (MPI_Pready_range) sample every partition when it is readied
+# ---------------------------------------------------------------------------
+
+
+def _profiled_stencil(loop_form: bool, monkeypatch):
+    """A profiled 3x3 stencil; each worker readies its slice by one range
+    call, or (``loop_form``) by one ``pcoll_pready`` per partition."""
+    from repro.coll import run_stencil
+    from repro.core import FixedAggregation, NativeSpec
+    from repro.mpi.process import MPIProcess
+
+    if loop_form:
+        def pcoll_pready_range(self, coll, low, high, neighbor=None):
+            for p in range(low, high + 1):
+                yield from self.pcoll_pready(coll, p, neighbor)
+
+        monkeypatch.setattr(MPIProcess, "pcoll_pready_range",
+                            pcoll_pready_range)
+    profilers = {}
+
+    def planner(proc, axes):
+        profilers[proc.rank] = PMPIProfiler()
+        profilers[proc.rank].attach(proc)
+        return lambda: NativeSpec(FixedAggregation(2, 2))
+
+    result = run_stencil(planner=planner, grid=(3, 3), n_threads=4,
+                         n_partitions=8, face_bytes=(16 * KiB, 8 * KiB),
+                         compute=50e-6, iterations=2, warmup=1)
+    monkeypatch.undo()
+    return result, profilers
+
+
+def _request_rounds(profiler):
+    # request ids come from a process-wide counter; drop them.
+    return [(r.round_index, r.t_start, r.pready, r.t_complete, r.module,
+             r.level) for r in profiler.rounds]
+
+
+def test_range_calls_profile_like_per_partition_calls(monkeypatch):
+    ranged, ranged_prof = _profiled_stencil(False, monkeypatch)
+    looped, looped_prof = _profiled_stencil(True, monkeypatch)
+    assert ranged.times == looped.times
+    assert sorted(ranged_prof) == list(range(9))
+    for rank in range(9):
+        a, b = ranged_prof[rank], looped_prof[rank]
+        assert a.coll_rounds == b.coll_rounds
+        assert _request_rounds(a) == _request_rounds(b)
+    record = ranged_prof[4].completed_coll_rounds()[0]
+    assert sorted(record.pready) == list(range(8))
+    # Sampled per partition, not at call entry: the two partitions of
+    # one worker's slice are readied at different times.
+    assert any(record.pready[2 * t] != record.pready[2 * t + 1]
+               for t in range(4))
+    # The fan-out readies edge after edge: the collective's sample is the
+    # first edge's pready time.
+    for p in range(8):
+        assert record.pready[p] == min(
+            times[p] for times in record.neighbor_pready.values())
+
+
+def test_second_profiler_on_one_process_is_rejected():
+    cluster = Cluster(n_nodes=2)
+    proc = cluster.add_process()
+    PMPIProfiler().attach(proc)
+    with pytest.raises(ValueError, match="already has a profiler"):
+        PMPIProfiler().attach(proc)

@@ -187,3 +187,76 @@ def test_store_invalid_capacity():
     env = Environment()
     with pytest.raises(ValueError):
         Store(env, capacity=0)
+
+
+def _store_scenario(nowait: bool):
+    """Two consumers, a same-time bystander and a producer; returns the log
+    of who saw what when, and the number of dispatched events."""
+    env = Environment()
+    store = Store(env)
+    log = []
+
+    def consumer(name):
+        for _ in range(2):
+            item = yield store.get()
+            log.append((env.now, name, item))
+
+    def bystander():
+        for _ in range(3):
+            yield env.timeout(1.0)
+            log.append((env.now, "bystander", None))
+
+    def producer():
+        for i in range(6):
+            yield env.timeout(0.5)
+            if nowait:
+                store.put_nowait(i)
+            else:
+                store.put(i)
+            log.append((env.now, "producer", i))
+
+    env.process(consumer("a"))
+    env.process(consumer("b"))
+    env.process(bystander())
+    env.process(producer())
+    dispatched = 0
+    while env.peek() != float("inf"):
+        env.step()
+        dispatched += 1
+    return log, dispatched, list(store.items)
+
+
+def test_put_nowait_hands_items_to_getters_exactly_as_put():
+    log_put, events_put, left_put = _store_scenario(nowait=False)
+    log_nowait, events_nowait, left_nowait = _store_scenario(nowait=True)
+    assert log_nowait == log_put
+    assert left_nowait == left_put == [4, 5]
+    # Only the six put events, which nothing waited on, are gone.
+    assert events_put - events_nowait == 6
+
+
+def test_put_nowait_appends_when_no_getter_waits():
+    env = Environment()
+    store = Store(env, capacity=2)
+    store.put_nowait("x")
+    store.put_nowait("y")
+    assert list(store.items) == ["x", "y"]
+    assert env.peek() == float("inf")   # nothing was scheduled
+    got = []
+
+    def consumer():
+        got.append((yield store.get()))
+        got.append((yield store.get()))
+
+    env.process(consumer())
+    env.run()
+    assert got == ["x", "y"]
+
+
+def test_put_nowait_raises_on_a_full_bounded_store():
+    env = Environment()
+    store = Store(env, capacity=1)
+    store.put_nowait(1)
+    with pytest.raises(SimulationError, match="full store"):
+        store.put_nowait(2)
+    assert list(store.items) == [1]

@@ -15,6 +15,7 @@ from repro.engine.progress import ProgressEngine, _IdleWait
 from repro.ib.constants import Opcode, WCOpcode, WCStatus
 from repro.ib.link import IngressPort, WireTimeTable
 from repro.ib.wr import SGE, RecvWR, SendWR, WorkCompletion
+from repro.mpi.endpoint import Header, MsgKind, _PumpItem
 from repro.sim.core import Environment, Event, LazyTimer, Timeout, _Due, _Wake
 from repro.sim.events import AllOf, AnyOf, Condition
 from repro.sim.process import Process
@@ -61,6 +62,9 @@ def _instances():
     yield RecvWR(wr_id=2)
     yield WorkCompletion(wr_id=1, status=WCStatus.SUCCESS,
                          opcode=WCOpcode.RDMA_WRITE, qp_num=1)
+    header = Header(kind=MsgKind.EAGER, seq=1, sender=0)
+    yield header
+    yield _PumpItem(header=header, gather=None, target=None, cpu_cost=0.0)
     yield WireTimeTable(NICConfig())
     yield IngressPort()
     yield EventTypeStats()
